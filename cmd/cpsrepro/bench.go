@@ -2,12 +2,13 @@ package main
 
 // bench-export runs the kernel benchmarks that gate this repository's
 // performance trajectory (matrix exponentials, discretisation, the warm
-// fleet sweep) hermetically via testing.Benchmark — no `go test`
-// subprocess — and writes them as one JSON report (BENCH_N.json is the
-// committed artefact per perf PR). bench-compare diffs two such reports
-// with benchstat-style semantics: it fails on a >threshold geometric-mean
-// regression in ns/op or on any allocs/op increase, which is what the CI
-// bench-compare job runs against the merge base.
+// fleet sweep, the warm derive of a freshly built app) hermetically via
+// testing.Benchmark — no `go test` subprocess — and writes them as one
+// JSON report (BENCH_N.json is the committed artefact per perf PR).
+// bench-compare diffs two such reports with benchstat-style semantics: it
+// fails on a >threshold geometric-mean regression in ns/op or on any
+// allocs/op increase, which is what the CI bench-compare job runs against
+// the merge base.
 
 import (
 	"context"
@@ -149,6 +150,37 @@ func kernelBenchmarks() []struct {
 			}
 		}
 	}})
+	// The warm derive of a freshly built Application — what a service does
+	// per decoded request row: the pointer memo cannot match a new value,
+	// so this is the derive-by-key memo plus the artefact-cache hits.
+	fresh := []struct {
+		name string
+		app  *core.Application
+	}{
+		{"DeriveFreshWarm/servo", apps[0]},
+		{"DeriveFreshWarm/lqr-dcmotor", &core.Application{
+			Name: "lqr", Plant: plants.DCMotorPosition(),
+			H: 0.020, DelayTT: 0.002, DelayET: 0.020, Eth: 0.1,
+			X0: []float64{0, 2.0}, R: 10, Deadline: 5, FrameID: 1,
+		}},
+	}
+	for _, f := range fresh {
+		out = append(out, struct {
+			name string
+			fn   func(b *testing.B)
+		}{f.name, func(b *testing.B) {
+			if _, err := f.app.CloneShallow().DeriveContext(ctx); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := f.app.CloneShallow().DeriveContext(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}})
+	}
 	return out
 }
 

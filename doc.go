@@ -31,6 +31,32 @@
 // core.DeriveCacheStats reports hit/miss/eviction counters plus current
 // occupancy.
 //
+// A derivation consults four layers, cheapest first:
+//
+//  1. the Application's pointer memo — an unchanged app re-derived is a
+//     pointer load (see Performance);
+//  2. the derive-by-key memo — an app whose CacheKey derived before, such
+//     as a freshly decoded service row, reuses that derivation's
+//     controller gains, closed loops, augmented x0, three fitted models
+//     and artefact cache keys, skipping both designs (an LQR design is
+//     about 1.5 ms), the closed loops, the fits and the key formatting;
+//  3. the counted artefact LRU holding discretisations and dwell curves;
+//  4. the optional disk store beneath it.
+//
+// A key-memo hit still fetches its two discretisations and its curve
+// through the LRU by the stored keys, so the cache's hits, misses,
+// diskHits, recency, disk read-through and single-flight behave exactly
+// as for a full derivation, and the memo never pins an artefact the LRU
+// has evicted: that artefact is recomputed (a miss) or disk-loaded (a
+// diskHit). The key memo is bounded by the cache's entry capacity,
+// emptied by core.ResetDeriveCache (a reset means "recompute
+// everything"), never stores a failure, and reports hits, misses and
+// entries through core.DeriveMemoStats (/statsz memo,
+// cpsdynd_derive_memo_* in /metrics). Cache keys are formatted without
+// fmt — fixed-width hex of every float's bit pattern into a stack buffer —
+// byte-identical to the fmt-based keys the disk store's record addresses
+// were derived from, as a golden test pins.
+//
 // # Sharded sampling and cancellation
 //
 // The dominant cost of a cache-miss derive — measuring the non-monotone
@@ -86,11 +112,16 @@
 // AllocsPerRun test and benchmarked by BenchmarkDeriveFleetWarm.
 // Mutating any derivation input in place invalidates the memo on the
 // next call. Because the memo embeds an atomic.Pointer, Application
-// values must not be copied; use CloneShallow.
+// values must not be copied; use CloneShallow. The pointer memo cannot
+// help a service, which decodes a fresh Application for every request
+// row; the derive-by-key memo beneath it can, and turns such a warm row
+// into a key format, one map lookup and three cache hits (kernel suite
+// benchmark DeriveFreshWarm).
 //
 // The benchmark trajectory is CI-gated: cpsrepro bench-export runs the
 // kernel suite hermetically (testing.Benchmark in-process) and writes a
-// JSON report (BENCH_8.json is the committed artefact), and the CI
+// JSON report (BENCH_8.json and BENCH_12.json are the committed
+// artefacts), and the CI
 // bench-compare job diffs every PR against its merge base, failing on a
 // >15% geometric-mean ns/op regression or on any benchmark whose
 // allocs/op increased.
@@ -210,15 +241,17 @@
 // the pipeline histograms (per-row derive on the memo-cache slow path,
 // store load/store, peer round trip) are process-wide like the caches
 // they instrument — and the warm derive path stays uninstrumented: a
-// memo hit takes zero clock reads.
+// pointer-memo hit takes zero clock reads.
 //
 // Every request and stream carries an obs.Trace in its context: a 16-hex
 // span ID, an optional parent (the X-Cpsdyn-Trace request header; the
 // gateway forwards its own trace ID on each persistent sub-stream, so a
 // replica's span names the gateway span as parent), and lock-free
 // per-stage time/count accumulators over a closed stage set — decode,
-// cacheLookup, diskLoad, discretize, curveSample, encode, peerRoundTrip —
-// so a million-row stream still produces a fixed-size trace. Finished
+// cacheLookup, diskLoad, discretize, curveSample, encode, peerRoundTrip,
+// deriveMemo (one count per row the derive-by-key memo served, which
+// skipped design and fit) — so a million-row stream still produces a
+// fixed-size trace. Finished
 // traces land in a bounded ring served by GET /tracez, slowest first,
 // and emit one structured log/slog completion record (op, trace ID,
 // duration, rows) joinable against /tracez by trace ID. Tracing changes

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -95,13 +96,40 @@ func TestSessionRoundTripsRows(t *testing.T) {
 	}
 }
 
+// deadPeer returns the URL of a peer that can never answer: a listener the
+// test holds for its whole run, which accepts every connection and closes
+// it at once. Closing a listener instead and counting on its port to keep
+// refusing is racy — under a parallel test run the ephemeral port can be
+// reused by another test's server, resurrecting the "dead" peer.
+func deadPeer(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return // the listener closed
+			}
+			conn.Close()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+	})
+	return "http://" + ln.Addr().String()
+}
+
 // A dead peer produces fallbacks, trips its breaker after the threshold, and
 // leaves the healthy peer untouched.
 func TestSessionFallsBackAndBreaksDeadPeer(t *testing.T) {
 	ts := echoReplica(t)
-	dead := httptest.NewServer(nil)
-	deadURL := dead.URL
-	dead.Close() // the port now refuses connections
+	deadURL := deadPeer(t)
 
 	g := testGateway(t, Config{
 		Peers:         []string{ts.URL, deadURL},

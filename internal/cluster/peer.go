@@ -241,6 +241,13 @@ func (st *peerStream) roundTrip(ctx context.Context, line []byte, timeout time.D
 	_, err := st.pw.Write(buf)
 	st.sendMu.Unlock()
 	if err != nil {
+		// The transport closes the request body as soon as the exchange
+		// fails, which can fail this write before the dial goroutine gets
+		// to tear the stream down: tear it down here, so the peer is
+		// charged before the caller falls back and the next row reopens
+		// instead of writing into the same dead pipe. fail() runs once, so
+		// the goroutine's later teardown is a no-op.
+		st.fail(fmt.Errorf("cluster: writing to peer stream: %w", err))
 		return nil, err
 	}
 	select {

@@ -4,10 +4,9 @@ import (
 	"container/list"
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"runtime"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -312,12 +311,15 @@ type CacheStats struct {
 	Bytes     int64  `json:"bytes"`
 }
 
-// deriveCache holds discretisations and dwell curves across Derive calls.
+// defaultDeriveCacheEntries sizes deriveCache (and the key memo beside it):
 // 128 entries comfortably covers a fleet reusing a few dozen plant/timing
 // combinations (each application contributes two discretisations and one
 // curve) while bounding memory for adversarial workloads. Long-running
 // services can retune it with SetDeriveCacheCapacity.
-var deriveCache = newMemoCache(128, 0)
+const defaultDeriveCacheEntries = 128
+
+// deriveCache holds discretisations and dwell curves across Derive calls.
+var deriveCache = newMemoCache(defaultDeriveCacheEntries, 0)
 
 // DeriveCacheStats reports the hit/miss/eviction counters and current
 // occupancy of the shared derivation cache — useful for verifying that a
@@ -325,15 +327,22 @@ var deriveCache = newMemoCache(128, 0)
 // /statsz endpoint.
 func DeriveCacheStats() CacheStats { return deriveCache.stats() }
 
-// ResetDeriveCache empties the shared derivation cache and its counters.
-func ResetDeriveCache() { deriveCache.reset() }
+// ResetDeriveCache empties the shared derivation cache, the derive-by-key
+// memo and their counters, so the next derivation of any key recomputes
+// everything (the per-Application pointer memo is unaffected).
+func ResetDeriveCache() {
+	deriveCache.reset()
+	deriveMemo.reset()
+}
 
 // SetDeriveCacheCapacity reconfigures the shared derivation cache: entries
 // bounds the entry count (clamped to ≥ 1) and maxBytes, when positive,
 // bounds the approximate retained bytes. Existing entries beyond the new
 // bounds are evicted least-recently-used first; counters are preserved.
+// The derive-by-key memo is bounded by the same entry count.
 func SetDeriveCacheCapacity(entries int, maxBytes int64) {
 	deriveCache.setCapacity(entries, maxBytes)
+	deriveMemo.setCapacity(entries)
 }
 
 // SetDeriveStore attaches a disk-backed persistence layer beneath the
@@ -346,47 +355,72 @@ func SetDeriveCacheCapacity(entries int, maxBytes int64) {
 // lets a restarted replica rejoin its consistent-hash shard warm.
 func SetDeriveStore(s ArtifactStore) { deriveCache.setStore(s) }
 
+// keyBufSize is the stack buffer DeriveContext formats an app's CacheKey
+// into for the key-memo lookup: room for every plant in internal/plants
+// under either controller design, so the warm lookup never allocates.
+// Larger keys still work; append spills them to the heap.
+const keyBufSize = 1024
+
+const hexDigits = "0123456789abcdef"
+
 // keyFloat appends the exact bit pattern of v, so keys distinguish values
 // that differ below formatting precision — including +0 and −0, whose bit
 // patterns differ (0x0 vs 0x8000000000000000). That strictness is
 // load-bearing: the disk store (internal/store) addresses records by these
 // keys, so two inputs share an artefact exactly when their keys are equal,
-// and every comparison layered above (appMemo.matches) must be equally
-// bit-exact or it would serve a stale value the key discipline would
-// recompute. TestCacheKeyDistinguishesSignedZero pins the contract.
-func keyFloat(b *strings.Builder, v float64) {
-	fmt.Fprintf(b, "%016x;", math.Float64bits(v))
+// and every comparison layered above (appMemo.matches, the key memo) must
+// be equally bit-exact or it would serve a stale value the key discipline
+// would recompute. TestCacheKeyDistinguishesSignedZero pins the contract.
+//
+// The encoding — 16 fixed-width lower-case hex digits and a ';' — is
+// frozen: the store's record addresses (sha256 of the key) depend on it,
+// and TestCacheKeyGolden pins every byte of the keys built from it.
+func keyFloat(b []byte, v float64) []byte {
+	var buf [17]byte
+	u := math.Float64bits(v)
+	for i := 15; i >= 0; i-- {
+		buf[i] = hexDigits[u&0xf]
+		u >>= 4
+	}
+	buf[16] = ';'
+	return append(b, buf[:]...)
 }
 
-func keyMatrix(b *strings.Builder, m *mat.Matrix) {
+func keyMatrix(b []byte, m *mat.Matrix) []byte {
 	if m == nil {
-		b.WriteString("nil|")
-		return
+		return append(b, "nil|"...)
 	}
-	fmt.Fprintf(b, "%dx%d:", m.Rows(), m.Cols())
+	b = strconv.AppendInt(b, int64(m.Rows()), 10)
+	b = append(b, 'x')
+	b = strconv.AppendInt(b, int64(m.Cols()), 10)
+	b = append(b, ':')
 	for i := 0; i < m.Rows(); i++ {
 		for j := 0; j < m.Cols(); j++ {
-			keyFloat(b, m.At(i, j))
+			b = keyFloat(b, m.At(i, j))
 		}
 	}
-	b.WriteByte('|')
+	return append(b, '|')
 }
 
-func keyVec(b *strings.Builder, v []float64) {
-	fmt.Fprintf(b, "v%d:", len(v))
+func keyVec(b []byte, v []float64) []byte {
+	b = append(b, 'v')
+	b = strconv.AppendInt(b, int64(len(v)), 10)
+	b = append(b, ':')
 	for _, x := range v {
-		keyFloat(b, x)
+		b = keyFloat(b, x)
 	}
-	b.WriteByte('|')
+	return append(b, '|')
 }
 
-func keyPoles(b *strings.Builder, ps []complex128) {
-	fmt.Fprintf(b, "p%d:", len(ps))
+func keyPoles(b []byte, ps []complex128) []byte {
+	b = append(b, 'p')
+	b = strconv.AppendInt(b, int64(len(ps)), 10)
+	b = append(b, ':')
 	for _, p := range ps {
-		keyFloat(b, real(p))
-		keyFloat(b, imag(p))
+		b = keyFloat(b, real(p))
+		b = keyFloat(b, imag(p))
 	}
-	b.WriteByte('|')
+	return append(b, '|')
 }
 
 // CacheKey is the canonical derivation-cache key of the application: a
@@ -397,7 +431,8 @@ func keyPoles(b *strings.Builder, ps []complex128) {
 // through exactly the same cache entries, which makes the key the natural
 // consistent-hash seed for partitioning the cache across replicas
 // (internal/cluster): route equal keys to one replica and each replica's LRU
-// holds a disjoint slice of the fleet's artefacts.
+// holds a disjoint slice of the fleet's artefacts. It is also the key of
+// the derive-by-key memo (see DeriveContext).
 //
 // The app Name, FrameID, disturbance period R and Deadline are deliberately
 // excluded: none of them reaches a cache entry, so renaming an app or
@@ -408,27 +443,62 @@ func keyPoles(b *strings.Builder, ps []complex128) {
 // single node, where renaming such an app cools its local cache entries
 // just the same.)
 func (a *Application) CacheKey() string {
-	var b strings.Builder
-	b.WriteString("app|")
+	return string(a.appendCacheKey(make([]byte, 0, keyBufSize)))
+}
+
+// appendCacheKey appends the CacheKey bytes to b.
+func (a *Application) appendCacheKey(b []byte) []byte {
+	b = append(b, "app|"...)
 	if a.Plant != nil {
-		b.WriteString(a.Plant.Name)
-		b.WriteByte('|')
-		keyMatrix(&b, a.Plant.A)
-		keyMatrix(&b, a.Plant.B)
-		keyMatrix(&b, a.Plant.C)
+		b = append(b, a.Plant.Name...)
+		b = append(b, '|')
+		b = keyMatrix(b, a.Plant.A)
+		b = keyMatrix(b, a.Plant.B)
+		b = keyMatrix(b, a.Plant.C)
 	}
-	keyFloat(&b, a.H)
-	keyFloat(&b, a.DelayTT)
-	keyFloat(&b, a.DelayET)
-	keyFloat(&b, a.Eth)
-	keyVec(&b, a.X0)
-	keyPoles(&b, a.PolesTT)
-	keyPoles(&b, a.PolesET)
-	keyMatrix(&b, a.QTT)
-	keyMatrix(&b, a.RTT)
-	keyMatrix(&b, a.QET)
-	keyMatrix(&b, a.RET)
-	return b.String()
+	b = keyFloat(b, a.H)
+	b = keyFloat(b, a.DelayTT)
+	b = keyFloat(b, a.DelayET)
+	b = keyFloat(b, a.Eth)
+	b = keyVec(b, a.X0)
+	b = keyPoles(b, a.PolesTT)
+	b = keyPoles(b, a.PolesET)
+	b = keyMatrix(b, a.QTT)
+	b = keyMatrix(b, a.RTT)
+	b = keyMatrix(b, a.QET)
+	return keyMatrix(b, a.RET)
+}
+
+// discKey is the cache key of lti.Discretize(c, h, d). The plant name
+// participates because it is carried into the Discrete.
+func discKey(c *lti.Continuous, h, d float64) string {
+	b := make([]byte, 0, keyBufSize)
+	b = append(b, "disc|"...)
+	b = append(b, c.Name...)
+	b = append(b, '|')
+	b = keyMatrix(b, c.A)
+	b = keyMatrix(b, c.B)
+	b = keyMatrix(b, c.C)
+	b = keyFloat(b, h)
+	return string(keyFloat(b, d))
+}
+
+// curveKey is the cache key of the switched system's dwell curve. The name
+// is excluded: the Curve does not carry it, so identical dynamics under
+// different names share one sampling. The worker count is excluded because
+// the curve is byte-identical either way.
+func curveKey(s *switching.System, horizon int) string {
+	b := make([]byte, 0, keyBufSize)
+	b = append(b, "curve|"...)
+	b = keyMatrix(b, s.A1)
+	b = keyMatrix(b, s.A2)
+	b = keyVec(b, s.X0)
+	b = keyFloat(b, s.Eth)
+	b = keyFloat(b, s.H)
+	b = append(b, 'n')
+	b = strconv.AppendInt(b, int64(s.NormDims), 10)
+	b = append(b, ";h"...)
+	return string(strconv.AppendInt(b, int64(horizon), 10))
 }
 
 // curveWorkers is the process-wide fan-out width for dwell-curve sampling
@@ -460,19 +530,10 @@ func CurveSamplingWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// cachedDiscretize memoises lti.Discretize on (plant, h, d). The plant name
-// participates in the key because it is carried into the Discrete.
-func cachedDiscretize(ctx context.Context, c *lti.Continuous, h, d float64) (*lti.Discrete, error) {
-	var b strings.Builder
-	b.WriteString("disc|")
-	b.WriteString(c.Name)
-	b.WriteByte('|')
-	keyMatrix(&b, c.A)
-	keyMatrix(&b, c.B)
-	keyMatrix(&b, c.C)
-	keyFloat(&b, h)
-	keyFloat(&b, d)
-	v, err := deriveCache.get(ctx, b.String(), func(cctx context.Context) (any, error) {
+// cachedDiscretize memoises lti.Discretize(c, h, d) under key, which must
+// be discKey(c, h, d).
+func cachedDiscretize(ctx context.Context, key string, c *lti.Continuous, h, d float64) (*lti.Discrete, error) {
+	v, err := deriveCache.get(ctx, key, func(cctx context.Context) (any, error) {
 		// Discretisation is a handful of small matrix exponentials —
 		// too cheap to need intra-computation cancellation points.
 		defer obs.FromContext(cctx).StageSince(obs.StageDiscretize, time.Now())
@@ -484,20 +545,15 @@ func cachedDiscretize(ctx context.Context, c *lti.Continuous, h, d float64) (*lt
 	return v.(*lti.Discrete), nil
 }
 
-// cachedSampleCurve memoises the exhaustive dwell/wait sampling on the
-// switched system's dynamics (the name is excluded: the Curve does not carry
-// it, so identical dynamics under different names share one sampling; the
-// worker count is excluded because the curve is byte-identical either way).
-func cachedSampleCurve(ctx context.Context, s *switching.System, horizon int) (*switching.Curve, error) {
-	var b strings.Builder
-	b.WriteString("curve|")
-	keyMatrix(&b, s.A1)
-	keyMatrix(&b, s.A2)
-	keyVec(&b, s.X0)
-	keyFloat(&b, s.Eth)
-	keyFloat(&b, s.H)
-	fmt.Fprintf(&b, "n%d;h%d", s.NormDims, horizon)
-	v, err := deriveCache.get(ctx, b.String(), func(ctx context.Context) (any, error) {
+// cachedSampleCurve memoises the exhaustive dwell/wait sampling of s under
+// key, which must be curveKey(s, horizon).
+//
+// The key excludes the name but the sampling errors embed it, and a failed
+// computation is handed to every concurrent waiter: a failure is therefore
+// re-attributed to s.Name, so each app's error names that app. The owner's
+// own error comes back untouched.
+func cachedSampleCurve(ctx context.Context, key string, s *switching.System, horizon int) (*switching.Curve, error) {
+	v, err := deriveCache.get(ctx, key, func(ctx context.Context) (any, error) {
 		defer obs.FromContext(ctx).StageSince(obs.StageCurveSample, time.Now())
 		return s.SampleCurveWith(switching.SampleCurveOptions{
 			Workers: CurveSamplingWorkers(),
@@ -506,6 +562,10 @@ func cachedSampleCurve(ctx context.Context, s *switching.System, horizon int) (*
 		})
 	})
 	if err != nil {
+		var se *switching.SystemError
+		if errors.As(err, &se) && se.Name != s.Name {
+			return nil, &switching.SystemError{Name: s.Name, Err: se.Err}
+		}
 		return nil, err
 	}
 	return v.(*switching.Curve), nil

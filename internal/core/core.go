@@ -169,6 +169,13 @@ func (a *Application) Derive() (*Derived, error) {
 // ctx.Err(). A cancelled derivation never poisons the shared cache —
 // concurrent derivations of the same artefacts with live contexts retake
 // the computation.
+//
+// Three memo layers sit in front of the work, cheapest first: this
+// Application's pointer memo (an unchanged app re-derived is a pointer
+// load), the process-wide derive-by-key memo (an app with the CacheKey of
+// one derived before skips controller design, closed loops and model fits,
+// and only re-fetches its artefacts), and the counted artefact cache with
+// its optional disk store underneath.
 func (a *Application) DeriveContext(ctx context.Context) (*Derived, error) {
 	// Warm path: the latest successful derivation of this very Application
 	// is kept alongside a bit-exact input snapshot; while nothing has been
@@ -181,16 +188,27 @@ func (a *Application) DeriveContext(ctx context.Context) (*Derived, error) {
 	// Everything past the memo is the slow path the latency histogram is
 	// about: validation, cache lookups, disk read-through, recomputation,
 	// model fits.
-	defer obs.DeriveRowLatency.Since(time.Now())
+	start := time.Now()
+	defer obs.DeriveRowLatency.Since(start)
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
+	var kb [keyBufSize]byte
+	key := a.appendCacheKey(kb[:0])
+	if e := deriveMemo.lookup(key); e != nil {
+		obs.FromContext(ctx).StageSince(obs.StageDeriveMemo, start)
+		return a.deriveFromMemo(ctx, e)
+	}
+	e := &keyMemoEntry{
+		discTTKey: discKey(a.Plant, a.H, a.DelayTT),
+		discETKey: discKey(a.Plant, a.H, a.DelayET),
+	}
 	d := &Derived{App: a}
 	var err error
-	if d.DiscTT, err = cachedDiscretize(ctx, a.Plant, a.H, a.DelayTT); err != nil {
+	if d.DiscTT, err = cachedDiscretize(ctx, e.discTTKey, a.Plant, a.H, a.DelayTT); err != nil {
 		return nil, err
 	}
-	if d.DiscET, err = cachedDiscretize(ctx, a.Plant, a.H, a.DelayET); err != nil {
+	if d.DiscET, err = cachedDiscretize(ctx, e.discETKey, a.Plant, a.H, a.DelayET); err != nil {
 		return nil, err
 	}
 	if d.KTT, err = a.designGain(d.DiscTT, a.PolesTT, a.QTT, a.RTT); err != nil {
@@ -209,7 +227,50 @@ func (a *Application) DeriveContext(ctx context.Context) (*Derived, error) {
 	}
 	x0 := make([]float64, a.Plant.Order()+1)
 	copy(x0, a.X0)
-	d.Sys = &switching.System{
+	d.Sys = a.system(a1, a2, x0)
+	e.curveKey = curveKey(d.Sys, 0)
+	if d.Curve, err = cachedSampleCurve(ctx, e.curveKey, d.Sys, 0); err != nil {
+		return nil, err
+	}
+	if d.NonMono, d.Conservative, d.Simple, err = d.Curve.FitModels(); err != nil {
+		return nil, err
+	}
+	e.key = string(key)
+	e.ktt, e.ket, e.a1, e.a2, e.x0 = d.KTT, d.KET, a1, a2, x0
+	e.nonMono, e.conservative, e.simple = d.NonMono, d.Conservative, d.Simple
+	deriveMemo.add(e)
+	a.memo.Store(&appMemo{snap: snapshotApp(a), derived: d})
+	return d, nil
+}
+
+// deriveFromMemo assembles this app's Derived from a key-memo entry: the
+// name-free results are shared, the artefacts are re-fetched through the
+// counted cache (recomputed or disk-loaded if the LRU evicted them), and
+// the App and the System carrying the app's Name are its own.
+func (a *Application) deriveFromMemo(ctx context.Context, e *keyMemoEntry) (*Derived, error) {
+	d := &Derived{
+		App: a, KTT: e.ktt, KET: e.ket,
+		NonMono: e.nonMono, Conservative: e.conservative, Simple: e.simple,
+	}
+	var err error
+	if d.DiscTT, err = cachedDiscretize(ctx, e.discTTKey, a.Plant, a.H, a.DelayTT); err != nil {
+		return nil, err
+	}
+	if d.DiscET, err = cachedDiscretize(ctx, e.discETKey, a.Plant, a.H, a.DelayET); err != nil {
+		return nil, err
+	}
+	d.Sys = a.system(e.a1, e.a2, e.x0)
+	if d.Curve, err = cachedSampleCurve(ctx, e.curveKey, d.Sys, 0); err != nil {
+		return nil, err
+	}
+	a.memo.Store(&appMemo{snap: snapshotApp(a), derived: d})
+	return d, nil
+}
+
+// system is the app's switched system over the given closed loops (A1 =
+// ET, A2 = TT) and augmented initial state.
+func (a *Application) system(a1, a2 *mat.Matrix, x0 []float64) *switching.System {
+	return &switching.System{
 		Name:     a.Name,
 		A1:       a1,
 		A2:       a2,
@@ -218,14 +279,6 @@ func (a *Application) DeriveContext(ctx context.Context) (*Derived, error) {
 		NormDims: a.Plant.Order(),
 		H:        a.H,
 	}
-	if d.Curve, err = cachedSampleCurve(ctx, d.Sys, 0); err != nil {
-		return nil, err
-	}
-	if d.NonMono, d.Conservative, d.Simple, err = d.Curve.FitModels(); err != nil {
-		return nil, err
-	}
-	a.memo.Store(&appMemo{snap: snapshotApp(a), derived: d})
-	return d, nil
 }
 
 // designGain builds one state-feedback gain on the augmented loop: pole
@@ -264,11 +317,11 @@ func (a *Application) ProbeSettleContext(ctx context.Context) (xiTT, xiET float6
 	if err := a.Validate(); err != nil {
 		return 0, 0, err
 	}
-	discTT, err := cachedDiscretize(ctx, a.Plant, a.H, a.DelayTT)
+	discTT, err := cachedDiscretize(ctx, discKey(a.Plant, a.H, a.DelayTT), a.Plant, a.H, a.DelayTT)
 	if err != nil {
 		return 0, 0, err
 	}
-	discET, err := cachedDiscretize(ctx, a.Plant, a.H, a.DelayET)
+	discET, err := cachedDiscretize(ctx, discKey(a.Plant, a.H, a.DelayET), a.Plant, a.H, a.DelayET)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -290,15 +343,7 @@ func (a *Application) ProbeSettleContext(ctx context.Context) (xiTT, xiET float6
 	}
 	x0 := make([]float64, a.Plant.Order()+1)
 	copy(x0, a.X0)
-	sys := &switching.System{
-		Name:     a.Name,
-		A1:       a1,
-		A2:       a2,
-		X0:       x0,
-		Eth:      a.Eth,
-		NormDims: a.Plant.Order(),
-		H:        a.H,
-	}
+	sys := a.system(a1, a2, x0)
 	if err := sys.Validate(); err != nil {
 		return 0, 0, err
 	}

@@ -45,6 +45,11 @@ const (
 	// StagePeerRoundTrip is a gateway row's round trip to a shard owner
 	// over its persistent sub-stream.
 	StagePeerRoundTrip
+	// StageDeriveMemo counts rows served by the derive-by-key memo, which
+	// skipped controller design, closed loops and model fits; its time is
+	// the validation and memo lookup ahead of the artefact re-fetch (which
+	// records as cacheLookup).
+	StageDeriveMemo
 
 	// NumStages bounds the per-trace accumulator arrays.
 	NumStages int = iota
@@ -52,7 +57,7 @@ const (
 
 var stageNames = [NumStages]string{
 	"decode", "cacheLookup", "diskLoad", "discretize", "curveSample",
-	"encode", "peerRoundTrip",
+	"encode", "peerRoundTrip", "deriveMemo",
 }
 
 // String returns the stage's wire name as it appears in /tracez.

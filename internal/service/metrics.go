@@ -20,6 +20,7 @@ import (
 //cpsdyn:metrics-source
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	cache := core.DeriveCacheStats()
+	memo := core.DeriveMemoStats()
 	pool := mat.SharedPool.Stats()
 	srv := s.Stats()
 	var b strings.Builder
@@ -51,6 +52,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		"Derivation-cache current entry count.", float64(cache.Entries))
 	metric("cpsdynd_cache_bytes", "gauge",
 		"Derivation-cache approximate retained bytes.", float64(cache.Bytes))
+	metric("cpsdynd_derive_memo_hits_total", "counter",
+		"Derivations served by the derive-by-key memo (controller design and model fits skipped).", float64(memo.Hits))
+	metric("cpsdynd_derive_memo_misses_total", "counter",
+		"Derivations that missed the derive-by-key memo and designed, fitted and keyed in full.", float64(memo.Misses))
+	metric("cpsdynd_derive_memo_entries", "gauge",
+		"Derive-by-key memo current entry count (bounded by the cache's entry capacity).", float64(memo.Entries))
 	metric("cpsdynd_pool_hits_total", "counter",
 		"Matrix-exponential workspace pool hits (reused workspaces).", float64(pool.Hits))
 	metric("cpsdynd_pool_misses_total", "counter",

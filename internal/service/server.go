@@ -232,7 +232,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// StatszResponse is the GET /statsz body. SimSteps is the cumulative
+// StatszResponse is the GET /statsz body. Memo is the derive-by-key memo
+// (rows that skipped controller design and model fits because an app with
+// the same cache key derived before). SimSteps is the cumulative
 // closed-loop simulation step counter (switching.SimSteps) — a live compute
 // gauge: it stops climbing when cancelled computations actually stop.
 // Gateway is only present in sharding-gateway mode: the peer list with
@@ -241,6 +243,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // (-cache-dir): its load/store/error counters plus the on-disk footprint.
 type StatszResponse struct {
 	Cache    core.CacheStats `json:"cache"`
+	Memo     core.MemoStats  `json:"memo"`
 	Pool     mat.PoolStats   `json:"pool"`
 	Server   ServerStats     `json:"server"`
 	Latency  LatencyStats    `json:"latency"`
@@ -256,6 +259,7 @@ type StatszResponse struct {
 func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 	resp := StatszResponse{
 		Cache:    core.DeriveCacheStats(),
+		Memo:     core.DeriveMemoStats(),
 		Pool:     mat.SharedPool.Stats(),
 		Server:   s.Stats(),
 		Latency:  s.latencyStats(),

@@ -142,3 +142,47 @@ func TestGatewayTracePropagation(t *testing.T) {
 			childRows, len(req.Apps))
 	}
 }
+
+// A request whose rows decode to apps derived before (fresh Application
+// values, so never the pointer memo) is served by the derive-by-key memo:
+// /statsz and /metrics count it, and its span carries a deriveMemo stage
+// with one count per such row.
+func TestDeriveMemoObservable(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	for i := 0; i < 2; i++ {
+		if code, out := postJSON(t, ts.URL+"/v1/derive", servoDeriveRequest(1)); code != http.StatusOK {
+			t.Fatalf("derive %d status = %d: %s", i, code, out)
+		}
+	}
+	var st StatszResponse
+	if code := getJSON(t, ts.URL+"/statsz", &st); code != http.StatusOK {
+		t.Fatalf("/statsz status = %d", code)
+	}
+	if st.Memo.Hits != 1 || st.Memo.Misses != 1 || st.Memo.Entries != 1 {
+		t.Fatalf("statsz memo = %+v, want 1 hit / 1 miss / 1 entry", st.Memo)
+	}
+	if st.Cache.Misses != 3 || st.Cache.Hits != 3 {
+		t.Fatalf("statsz cache = %+v, want the memo hit's 3 artefact hits on top of the cold 3 misses", st.Cache)
+	}
+	metrics := scrapeMetricNames(t, ts.URL)
+	for _, name := range []string{"cpsdynd_derive_memo_hits_total", "cpsdynd_derive_memo_misses_total", "cpsdynd_derive_memo_entries"} {
+		if _, ok := metrics[name]; !ok {
+			t.Errorf("/metrics lacks %s", name)
+		}
+	}
+	var tz TracezResponse
+	if code := getJSON(t, ts.URL+"/tracez", &tz); code != http.StatusOK {
+		t.Fatalf("/tracez status = %d", code)
+	}
+	memoRows := 0
+	for _, tr := range tz.Traces {
+		for _, stage := range tr.Stages {
+			if stage.Stage == obs.StageDeriveMemo.String() {
+				memoRows += int(stage.Count)
+			}
+		}
+	}
+	if memoRows != 1 {
+		t.Fatalf("/tracez shows %d deriveMemo rows, want 1: %+v", memoRows, tz.Traces)
+	}
+}
