@@ -144,6 +144,19 @@
 // it stops consuming CPU promptly — unless the service opts into detached
 // background completion (service.Config.CompleteInBackground).
 //
+// Each operation — derive, calibrate, allocate — is computed by exactly one
+// row function that answers one input line, run by one conc.StreamOrdered
+// pipeline. The two framings differ only in the ends of that pipeline: an
+// NDJSON endpoint feeds it from the request body (duplicate names rejected
+// in the source) and sinks each answer into the wire as a result row, while
+// a buffered endpoint validates its whole batch up front, feeds the
+// validated slice and sinks into a collector that returns the answers in
+// input order, or the rows' failures joined in input order (a context
+// expiry alone when the budget ran out). A panicking row fails only itself:
+// an error row on a stream, a 500 on a buffered endpoint. Buffered and
+// streamed answers therefore agree by construction, and one admission
+// discipline (in-flight slot, budget, trace span) fronts every route.
+//
 // # Streaming derivation (NDJSON)
 //
 // Thousand-app fleets should not ride in one JSON body. POST
@@ -180,12 +193,17 @@
 // that reach a cache entry, deliberately excluding name/frame/r/deadline —
 // to the replica owning it; removing one of N peers reassigns only ~1/N of
 // the key space, never a survivor's warm keys. cpsdynd -peers h1,h2,...
-// turns a daemon into a gateway: /v1/derive and /v1/derive/stream keep
-// their single-node contract (validation, wire rows, input-order emission,
-// byte-identical output) but fan each request out as one persistent NDJSON
-// sub-stream per peer (cluster.Session over the streaming codec), matching
-// response rows to senders FIFO per peer and re-indexing them into the
-// caller's numbering. A replica that is down, slow (-peer-timeout) or
+// turns a daemon into a gateway. Gateway mode is not a second set of
+// handlers but a per-row route hook the derive row function takes: each
+// validated app is offered to the replica owning its key over one
+// persistent NDJSON sub-stream per peer and request (cluster.Session over
+// the streaming codec, response rows matched to senders FIFO per peer and
+// re-indexed into the caller's numbering), and derived locally when the
+// hook declines it. /v1/derive and /v1/derive/stream therefore keep their
+// single-node contract (validation, wire rows, input-order emission,
+// byte-identical output) by construction. The hook is nil on a single node
+// and on a gateway's own hop-marked sub-requests, so a misconfigured ring
+// degrades to one extra hop instead of recursing. A replica that is down, slow (-peer-timeout) or
 // circuit-broken (consecutive-failure breaker with half-open probes) costs
 // only warmth: its rows are derived locally and counted — /statsz and
 // /metrics expose per-peer health plus peerRows and peerFallbacks, and a

@@ -14,6 +14,15 @@ type BatchSpec struct {
 	Method Method
 }
 
+// Allocate runs the fleet's allocation: the policy race when Race is set,
+// the single Policy otherwise.
+func (s BatchSpec) Allocate() (*Allocation, error) {
+	if s.Race {
+		return AllocateRace(s.Apps, nil, s.Method)
+	}
+	return Allocate(s.Apps, s.Policy, s.Method)
+}
+
 // BatchResult pairs one fleet's allocation with its error; exactly one of
 // the two fields is set.
 type BatchResult struct {
@@ -24,17 +33,12 @@ type BatchResult struct {
 // AllocateBatch allocates many independent fleets concurrently across a
 // bounded worker pool (workers ≤ 0 selects runtime.GOMAXPROCS). Results keep
 // the input order, and one fleet's failure never affects the others — the
-// per-fleet error travels in its BatchResult. This is the engine behind both
-// slotalloc's multi-fleet input and cpsdynd's /v1/allocate.
+// per-fleet error travels in its BatchResult. Each fleet is allocated by
+// BatchSpec.Allocate, the same dispatch the service's allocate rows run.
 func AllocateBatch(specs []BatchSpec, workers int) []BatchResult {
 	out := make([]BatchResult, len(specs))
 	conc.ForEach(len(specs), workers, func(i int) {
-		s := specs[i]
-		if s.Race {
-			out[i].Alloc, out[i].Err = AllocateRace(s.Apps, nil, s.Method)
-		} else {
-			out[i].Alloc, out[i].Err = Allocate(s.Apps, s.Policy, s.Method)
-		}
+		out[i].Alloc, out[i].Err = specs[i].Allocate()
 	})
 	return out
 }

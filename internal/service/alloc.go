@@ -6,8 +6,10 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"io"
 
 	"cpsdyn/internal/pwl"
 	"cpsdyn/internal/sched"
@@ -198,35 +200,97 @@ func fleetLabel(fr *FleetRequest, i int) string {
 // apps) fail the whole call — the request itself is broken. Per-fleet
 // allocation failures (an infeasible fleet) are recorded in the matching
 // FleetResult.Error instead, so a batch reports every salvageable result.
+//
+//cpsdyn:ctx-compat legacy convenience entry point for slotalloc's batch mode and the benchmarks, which own no request context; allocation has no cancellation points
 func AllocateFleets(reqs []FleetRequest, workers int) ([]*FleetResult, error) {
-	specs := make([]sched.BatchSpec, len(reqs))
-	unsafe := make([]bool, len(reqs))
+	return allocateFleets(context.TODO(), reqs, workers)
+}
+
+// allocateFleets is AllocateFleets under ctx: once it expires, no further
+// fleet is dispatched and ctx.Err() is returned.
+func allocateFleets(ctx context.Context, reqs []FleetRequest, workers int) ([]*FleetResult, error) {
+	specs := make([]fleetSpec, len(reqs))
 	var errs []error
 	for i := range reqs {
-		spec, uns, err := reqs[i].spec()
+		spec, unsafe, err := reqs[i].spec()
 		if err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", fleetLabel(&reqs[i], i), err))
 			continue
 		}
-		specs[i], unsafe[i] = spec, uns
+		specs[i] = fleetSpec{spec, unsafe}
 	}
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	batch := sched.AllocateBatch(specs, workers)
-	out := make([]*FleetResult, len(reqs))
-	for i, br := range batch {
-		res := &FleetResult{Name: reqs[i].Name}
-		out[i] = res
-		if br.Err != nil {
-			res.Error = br.Err.Error()
-			continue
-		}
-		if err := fillFleetResult(res, &reqs[i], br.Alloc, unsafe[i]); err != nil {
+	out, errs, err := collect(ctx, workers, reqs, allocateRow(specs))
+	if err != nil {
+		return nil, err
+	}
+	for i, err := range errs {
+		if err != nil {
 			return nil, fmt.Errorf("%s: %w", fleetLabel(&reqs[i], i), err)
 		}
 	}
 	return out, nil
+}
+
+// fleetSpec is one compiled fleet request: what FleetRequest.spec returns.
+type fleetSpec struct {
+	sched.BatchSpec
+	unsafe bool
+}
+
+// FleetStreamRow is one NDJSON line of a slotalloc -stream response: the
+// allocation outcome for the fleet on input line Index. Error reports a
+// malformed line; an infeasible fleet is an analysis outcome and lands in
+// Fleet.Error as usual.
+type FleetStreamRow struct {
+	Index int          `json:"index"`
+	Fleet *FleetResult `json:"fleet,omitempty"`
+	Error string       `json:"error,omitempty"`
+}
+
+// AllocateStream is DeriveStream's allocation sibling: NDJSON FleetRequest
+// lines in, NDJSON FleetStreamRows out in input order, allocated across a
+// bounded worker pool. It backs slotalloc -stream.
+func AllocateStream(ctx context.Context, r io.Reader, w io.Writer, opts StreamOptions) (StreamStats, error) {
+	return runStream(ctx, r, w, opts, nil, allocateRow(nil), func(res result[*FleetResult]) FleetStreamRow {
+		row := FleetStreamRow{Index: res.index, Fleet: res.val}
+		if res.err != nil {
+			row.Error = res.err.Error()
+		}
+		return row
+	})
+}
+
+// allocateRow is the allocate operation's one row function: compile the
+// fleet (or take the buffered path's pre-validated spec), allocate it and
+// analyse every slot. An infeasible fleet is an analysis outcome, reported
+// in-band in FleetResult.Error; only a malformed fleet fails the row.
+// Allocation is quick arithmetic, so it takes no cancellation points of its
+// own; the pipeline stops dispatching fleets once ctx expires.
+func allocateRow(specs []fleetSpec) rowFunc[FleetRequest, *FleetResult] {
+	return func(_ context.Context, i int, fr *FleetRequest) (*FleetResult, error) {
+		var fs fleetSpec
+		if specs != nil {
+			fs = specs[i]
+		} else {
+			var err error
+			if fs.BatchSpec, fs.unsafe, err = fr.spec(); err != nil { // self-describing *RequestErrors
+				return nil, err
+			}
+		}
+		res := &FleetResult{Name: fr.Name}
+		al, err := fs.Allocate()
+		if err != nil {
+			res.Error = err.Error() // infeasible fleet: in-band
+			return res, nil
+		}
+		if err := fillFleetResult(res, fr, al, fs.unsafe); err != nil {
+			return nil, err
+		}
+		return res, nil
+	}
 }
 
 // fillFleetResult analyses every slot of the allocation and emits the

@@ -7,9 +7,7 @@ import (
 	"io"
 
 	"cpsdyn/internal/casestudy"
-	"cpsdyn/internal/conc"
 	"cpsdyn/internal/core"
-	"cpsdyn/internal/obs"
 )
 
 // CalibrateAppSpec describes one application for measured-mode calibration:
@@ -65,8 +63,8 @@ type CalibrateResponse struct {
 }
 
 // application compiles the calibration spec into a core.Application with
-// unset poles (Calibrate fills them); i is the app's position, used for the
-// default frame ID.
+// unset poles (calibrateRow's search fills them); i is the app's position,
+// used for the default frame ID.
 func (s *CalibrateAppSpec) application(i int) (*core.Application, error) {
 	if !isFinite(s.TargetXiTT) || !isFinite(s.TargetXiET) ||
 		s.TargetXiTT <= 0 || s.TargetXiET <= s.TargetXiTT {
@@ -100,54 +98,56 @@ func poleSpecs(ps []complex128) []PoleSpec {
 	return out
 }
 
-// Calibrate runs the full measured-mode workflow for a fleet: search the
-// controller designs against the per-app response targets (each app's
-// search runs on the bounded worker pool and itself evaluates probes
-// speculatively), then derive the calibrated fleet through the shared memo
-// cache. A ctx expiry aborts both phases promptly.
-func Calibrate(ctx context.Context, req *CalibrateRequest) (*CalibrateResponse, error) {
-	if len(req.Apps) == 0 {
-		return nil, errors.New("no apps in request")
-	}
-	apps := make([]*core.Application, len(req.Apps))
-	for i := range req.Apps {
-		// application() failures are *RequestErrors that already name the
-		// offending app.
-		a, err := req.Apps[i].application(i)
-		if err != nil {
-			return nil, err
-		}
-		apps[i] = a
-	}
-	errs := make([]error, len(apps))
-	ferr := conc.ForEachCtx(ctx, len(apps), req.Workers, func(i int) error {
-		spec := &req.Apps[i]
-		if err := casestudy.Calibrate(ctx, apps[i], spec.TargetXiTT, spec.TargetXiET, spec.EtOmega); err != nil {
-			errs[i] = fmt.Errorf("app %q: %w", spec.Name, err)
-		}
-		return nil // per-app failures are aggregated, not dispatch-stopping
-	})
-	if ferr != nil {
-		return nil, ferr
-	}
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	fleet, err := core.DeriveFleet(ctx, apps, core.FleetOptions{Workers: req.Workers})
+// applications compiles every spec of the request, rejecting an empty
+// request and duplicate app names exactly like DeriveRequest.applications:
+// a calibrate response pastes directly into POST /v1/allocate, which keys
+// its apps by name. Every failure is a *RequestError.
+func (req *CalibrateRequest) applications() ([]*core.Application, error) {
+	return compileApps(req.Apps, (*CalibrateAppSpec).name, (*CalibrateAppSpec).application)
+}
+
+func (s *CalibrateAppSpec) name() string { return s.Name }
+
+// calibrate runs the full measured-mode workflow for a fleet across a
+// bounded worker pool: each app's controller designs are searched against
+// its response targets, then the calibrated app is derived on the shared
+// memo cache. A failed search outranks a failed derivation: when any search
+// fails, only the searches' failures are reported, each prefixed with its
+// app name. A ctx expiry aborts the in-flight work promptly.
+func calibrate(ctx context.Context, req *CalibrateRequest) (*CalibrateResponse, error) {
+	apps, err := req.applications()
 	if err != nil {
 		return nil, err
 	}
-	resp := &CalibrateResponse{Apps: make([]CalibrateResult, len(fleet))}
-	for i, d := range fleet {
-		resp.Apps[i] = CalibrateResult{
-			DeriveResult: deriveResult(d),
-			PolesTT:      poleSpecs(apps[i].PolesTT),
-			PolesET:      poleSpecs(apps[i].PolesET),
+	rows, errs, err := collect(ctx, req.Workers, req.Apps, calibrateRow(apps))
+	if err != nil {
+		return nil, err
+	}
+	var searches []error
+	for _, err := range errs {
+		var se *searchError
+		if errors.As(err, &se) {
+			searches = append(searches, fmt.Errorf("app %q: %w", se.app, se.err))
 		}
 	}
-	resp.Cache = core.DeriveCacheStats()
-	return resp, nil
+	if len(searches) == 0 {
+		searches = errs
+	}
+	if err := errors.Join(searches...); err != nil {
+		return nil, err
+	}
+	return &CalibrateResponse{Apps: rows, Cache: core.DeriveCacheStats()}, nil
 }
+
+// searchError is a row's failed controller-design search, as opposed to a
+// failed derivation of the calibrated app. A stream row reports it as is.
+type searchError struct {
+	app string
+	err error
+}
+
+func (e *searchError) Error() string { return e.err.Error() }
+func (e *searchError) Unwrap() error { return e.err }
 
 // CalibrateStreamRow is one NDJSON line of a /v1/calibrate/stream response:
 // the calibration outcome for the app on input line Index, in the same shape
@@ -159,58 +159,42 @@ type CalibrateStreamRow struct {
 	Error  string           `json:"error,omitempty"`
 }
 
-// CalibrateStream is DeriveStream's measured-mode sibling: NDJSON
-// CalibrateAppSpec lines in, NDJSON CalibrateStreamRows out in input order,
-// each app's design search and derivation run across a bounded worker pool.
-// Per-line failures (malformed JSON, invalid specs, searches that do not
-// converge) become error rows and never abort the stream; a ctx expiry stops
-// it mid-flight like the other engines.
-func CalibrateStream(ctx context.Context, r io.Reader, w io.Writer, opts StreamOptions) (StreamStats, error) {
-	var stats StreamStats
-	tr := obs.FromContext(ctx)
-	err := conc.StreamOrdered(ctx, opts.Workers, opts.window(effectiveWorkers(opts.Workers)),
-		countingSource[CalibrateAppSpec](r, opts.MaxLine, &stats, tr),
-		calibrateStreamRow,
-		encodeSink[CalibrateStreamRow](w, &stats, tr))
-	return stats, err
+// calibrateStream is the streaming derivation's measured-mode sibling:
+// NDJSON CalibrateAppSpec lines in, NDJSON CalibrateStreamRows out in input
+// order. Per-line failures (malformed JSON, duplicate or invalid specs,
+// searches that do not converge) become error rows and never abort the
+// stream; a ctx expiry stops it mid-flight like the other engines.
+func calibrateStream(ctx context.Context, r io.Reader, w io.Writer, opts StreamOptions) (StreamStats, error) {
+	return runStream(ctx, r, w, opts, (*CalibrateAppSpec).name, calibrateRow(nil),
+		func(res result[CalibrateResult]) CalibrateStreamRow {
+			if res.err != nil {
+				return CalibrateStreamRow{Index: res.index, Error: res.err.Error()}
+			}
+			return CalibrateStreamRow{Index: res.index, Result: &res.val}
+		})
 }
 
-// calibrateStreamRow runs one line's full measured-mode workflow: compile
-// the spec, search the controller designs against its targets, then derive
-// the calibrated app on the shared memo cache. Failures become error rows; a
-// panic fails its own row, not the stream.
-func calibrateStreamRow(ctx context.Context, _ int, ln Line[CalibrateAppSpec]) (row CalibrateStreamRow) {
-	row.Index = ln.Index
-	defer func() {
-		if r := recover(); r != nil {
-			row.Result, row.Error = nil, fmt.Sprintf("internal error: %v", r)
+// calibrateRow is the calibrate operation's one row function: search the
+// compiled app's controller designs against its targets, then derive it.
+func calibrateRow(apps []*core.Application) rowFunc[CalibrateAppSpec, CalibrateResult] {
+	return func(ctx context.Context, i int, spec *CalibrateAppSpec) (CalibrateResult, error) {
+		app, err := compiled(apps, i, spec.application)
+		if err != nil {
+			return CalibrateResult{}, err
 		}
-	}()
-	if ln.Err != nil {
-		row.Error = ln.Err.Error()
-		return row
+		if err := casestudy.Calibrate(ctx, app, spec.TargetXiTT, spec.TargetXiET, spec.EtOmega); err != nil {
+			return CalibrateResult{}, &searchError{app: spec.Name, err: err}
+		}
+		d, err := app.DeriveContext(ctx)
+		if err != nil {
+			return CalibrateResult{}, err
+		}
+		return CalibrateResult{
+			DeriveResult: deriveResult(d),
+			PolesTT:      poleSpecs(app.PolesTT),
+			PolesET:      poleSpecs(app.PolesET),
+		}, nil
 	}
-	app, err := ln.Val.application(ln.Index)
-	if err != nil {
-		row.Error = err.Error()
-		return row
-	}
-	if err := casestudy.Calibrate(ctx, app, ln.Val.TargetXiTT, ln.Val.TargetXiET, ln.Val.EtOmega); err != nil {
-		row.Error = err.Error()
-		return row
-	}
-	d, err := app.DeriveContext(ctx)
-	if err != nil {
-		row.Error = err.Error()
-		return row
-	}
-	res := CalibrateResult{
-		DeriveResult: deriveResult(d),
-		PolesTT:      poleSpecs(app.PolesTT),
-		PolesET:      poleSpecs(app.PolesET),
-	}
-	row.Result = &res
-	return row
 }
 
 func calibrateEndpoint(ctx context.Context, s *Server, body []byte) (any, error) {
@@ -218,9 +202,6 @@ func calibrateEndpoint(ctx context.Context, s *Server, body []byte) (any, error)
 	if err := decodeTraced(ctx, body, &req); err != nil {
 		return nil, err
 	}
-	// As for /v1/derive, the operator's -workers flag is a ceiling.
-	if req.Workers <= 0 || (s.cfg.Workers > 0 && req.Workers > s.cfg.Workers) {
-		req.Workers = s.cfg.Workers
-	}
-	return Calibrate(ctx, &req)
+	req.Workers = s.workers(req.Workers)
+	return calibrate(ctx, &req)
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 
+	"cpsdyn/internal/cluster"
 	"cpsdyn/internal/core"
 	"cpsdyn/internal/lti"
 	"cpsdyn/internal/mat"
@@ -178,50 +180,126 @@ func (s *DeriveAppSpec) application(i int) (*core.Application, error) {
 // different rows under one name is ambiguous downstream (allocation keys
 // results by name). Every failure is a *RequestError.
 func (req *DeriveRequest) applications() ([]*core.Application, error) {
-	if len(req.Apps) == 0 {
+	return compileApps(req.Apps, (*DeriveAppSpec).name, (*DeriveAppSpec).application)
+}
+
+func (s *DeriveAppSpec) name() string { return s.Name }
+
+// compileApps is the buffered endpoints' up-front validation: every spec
+// compiled in order through the streams' duplicate-name source, the first
+// failure returned.
+func compileApps[T any](specs []T, name func(*T) string,
+	compile func(*T, int) (*core.Application, error)) ([]*core.Application, error) {
+	if len(specs) == 0 {
 		return nil, &RequestError{Err: errors.New("no apps in request")}
 	}
-	apps := make([]*core.Application, len(req.Apps))
-	seen := make(map[string]bool, len(req.Apps))
-	for i := range req.Apps {
-		name := req.Apps[i].Name
-		if seen[name] {
-			return nil, &RequestError{App: name,
-				Err: fmt.Errorf("duplicate app name %q", name)}
+	apps := make([]*core.Application, len(specs))
+	for ln := range uniqueNames(lines(specs), name) {
+		if ln.Err != nil {
+			return nil, ln.Err
 		}
-		seen[name] = true
-		a, err := req.Apps[i].application(i)
+		a, err := compile(ln.Val, ln.Index)
 		if err != nil {
 			return nil, err
 		}
-		apps[i] = a
+		apps[ln.Index] = a
 	}
 	return apps, nil
 }
 
-// Derive compiles the request into a fleet, derives it through
-// core.DeriveFleet (bounded worker pool, shared memo cache) and reports one
-// timing row per app in input order. A ctx expiry aborts the in-flight
-// matrix work promptly.
+// compiled is a row function's first step: the buffered path's validated
+// application for row i, or — on a stream, where apps is nil — the row's
+// spec compiled now.
+func compiled(apps []*core.Application, i int, compile func(int) (*core.Application, error)) (*core.Application, error) {
+	if apps != nil {
+		return apps[i], nil
+	}
+	return compile(i)
+}
+
+// Derive compiles the request into a fleet, derives it on the shared memo
+// cache across a bounded worker pool and reports one timing row per app in
+// input order. A ctx expiry aborts the in-flight matrix work promptly.
 func Derive(ctx context.Context, req *DeriveRequest) (*DeriveResponse, error) {
+	return derive(ctx, req, nil)
+}
+
+// derive is Derive with the rows routed through gw (see routeFor).
+func derive(ctx context.Context, req *DeriveRequest, gw *cluster.Gateway) (*DeriveResponse, error) {
 	apps, err := req.applications()
 	if err != nil {
 		return nil, err
 	}
-	fleet, err := core.DeriveFleet(ctx, apps, core.FleetOptions{Workers: req.Workers})
+	route, done := routeFor(ctx, gw, effectiveWorkers(req.Workers))
+	defer done()
+	rows, errs, err := collect(ctx, req.Workers, req.Apps, deriveRow(apps, route))
+	if err == nil {
+		err = errors.Join(errs...)
+	}
 	if err != nil {
 		return nil, err
 	}
-	resp := &DeriveResponse{Apps: make([]DeriveResult, len(fleet))}
-	for i, d := range fleet {
-		resp.Apps[i] = deriveResult(d)
+	return &DeriveResponse{Apps: rows, Cache: core.DeriveCacheStats()}, nil
+}
+
+// DeriveStream runs the streaming derivation pipeline: NDJSON DeriveAppSpec
+// lines in from r, NDJSON StreamRows out to w in input order, derived across
+// a bounded worker pool with at most O(workers + window) rows buffered. The
+// first result is written while later requests are still being read.
+//
+// Per-line failures (malformed JSON, duplicate or invalid apps, derivation
+// errors) become error rows and never abort the stream. A ctx expiry stops
+// it mid-flight and is returned (the caller decides whether a terminal row
+// can still be written); a write failure on w stops it likewise.
+func DeriveStream(ctx context.Context, r io.Reader, w io.Writer, opts StreamOptions) (StreamStats, error) {
+	return deriveStream(ctx, r, w, opts, nil)
+}
+
+// deriveStream is DeriveStream with the rows routed through gw (see
+// routeFor).
+func deriveStream(ctx context.Context, r io.Reader, w io.Writer, opts StreamOptions, gw *cluster.Gateway) (StreamStats, error) {
+	route, done := routeFor(ctx, gw, effectiveWorkers(opts.Workers))
+	defer done()
+	return runStream(ctx, r, w, opts, (*DeriveAppSpec).name, deriveRow(nil, route),
+		func(res result[DeriveResult]) StreamRow {
+			if res.err != nil {
+				return StreamRow{Index: res.index, Error: res.err.Error(), Cancelled: isCancellation(res.err)}
+			}
+			return StreamRow{Index: res.index, Result: &res.val}
+		})
+}
+
+// deriveRow is the derive operation's one row function, for both framings
+// on a single node and on a gateway: offer the compiled app to the gateway
+// route hook when there is one, and derive it on the shared memo cache
+// otherwise — including when the hook declines the row.
+func deriveRow(apps []*core.Application, route routeHook) rowFunc[DeriveAppSpec, DeriveResult] {
+	return func(ctx context.Context, i int, spec *DeriveAppSpec) (DeriveResult, error) {
+		app, err := compiled(apps, i, spec.application) // failures are self-naming *RequestErrors
+		if err != nil {
+			return DeriveResult{}, err
+		}
+		if route != nil {
+			if row, ok := route(ctx, spec, i, app); ok {
+				// A replica's error row is that app's derivation failure:
+				// the gateway already ran the validation the replica
+				// repeats, so nothing else can come back.
+				if row.Error != "" {
+					return DeriveResult{}, errors.New(row.Error)
+				}
+				return *row.Result, nil
+			}
+		}
+		d, err := app.DeriveContext(ctx)
+		if err != nil {
+			return DeriveResult{}, err
+		}
+		return deriveResult(d), nil
 	}
-	resp.Cache = core.DeriveCacheStats()
-	return resp, nil
 }
 
 // deriveResult flattens one derived application into its wire row (shared
-// by the derive and calibrate endpoints).
+// by the derive and calibrate row functions).
 func deriveResult(d *core.Derived) DeriveResult {
 	row := d.TimingRow()
 	return DeriveResult{

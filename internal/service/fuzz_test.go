@@ -9,7 +9,8 @@ import (
 )
 
 // FuzzServiceCodec hammers the request/response codec — the buffered
-// /v1/derive and /v1/allocate decoders and the NDJSON streaming decoder —
+// /v1/derive, /v1/allocate and /v1/calibrate decoders and the NDJSON
+// streaming decoders —
 // with arbitrary bytes. The contract under fuzzing: decode and compile may
 // reject input, but every rejection is a typed *RequestError and nothing
 // panics (mat.FromRows panics on ragged input, so the codec must catch
@@ -17,6 +18,11 @@ import (
 // codec is the attack surface; the numeric kernels only ever see validated
 // applications.
 func FuzzServiceCodec(f *testing.F) {
+	// probe is the CI probe app as a calibration spec, its object left open
+	// so seeds can append fields.
+	const probe = `{"name":"probe","plant":{"a":[[0,1],[-2,-3]],"b":[[0],[1]]},"h":0.02,` +
+		`"delayTT":0.002,"delayET":0.02,"eth":0.1,"x0":[0,2],"r":8,"deadline":3,` +
+		`"targetXiTT":0.7,"targetXiET":2.0`
 	// Seed corpus: the shipped example payloads in both framings…
 	for _, name := range []string{"derive.json", "derive.ndjson", "allocate.json", "fleets.ndjson"} {
 		b, err := os.ReadFile(filepath.Join("..", "..", "examples", "payloads", name))
@@ -34,6 +40,14 @@ func FuzzServiceCodec(f *testing.F) {
 		`{"apps":[{"name":"a","plant":{"a":[[1e308]],"b":[[1e308]]},"h":1e-308,"x0":[1e999]}]}`,
 		`{"fleets":[{"policy":"race","apps":[{"name":"a","r":1,"deadline":2,"model":{"kind":"simple"}}]}]}`,
 		"{\"name\":\"a\"}\n{broken\n\n{\"name\":\"b\",\"plant\":{\"a\":[[1]],\"b\":[[1]]}}",
+		// Calibration requests, in both framings: a valid probe app, a
+		// duplicate name, targetXiET ≤ targetXiTT and a NaN etOmega (which
+		// JSON cannot spell, so it must fail the decode).
+		`{"apps":[` + probe + `}]}`,
+		`{"apps":[` + probe + `},` + probe + `}]}`,
+		`{"apps":[{"name":"probe","targetXiTT":2.0,"targetXiET":2.0}]}`,
+		`{"apps":[` + probe + `,"etOmega":NaN}]}`,
+		probe + "}\n" + probe + "}\n" + probe + `,"etOmega":NaN}` + "\n" + `{"name":"p","targetXiTT":1,"targetXiET":0.5}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -82,6 +96,21 @@ func FuzzServiceCodec(f *testing.F) {
 			if err := EncodeResult(&out, row); err != nil {
 				t.Fatalf("encoding row %d: %v", ln.Index, err)
 			}
+		}
+		// Buffered calibrate path: decode, then compile every app (duplicate
+		// names, response targets, etOmega, plus the derive checks).
+		var creq CalibrateRequest
+		if err := decodeStrict(data, &creq); err == nil {
+			_, err := creq.applications()
+			check(err, "calibrate compile")
+		}
+		for ln := range DecodeLines[CalibrateAppSpec](bytes.NewReader(data), 1<<16) {
+			if ln.Err != nil {
+				check(ln.Err, "calibrate stream decode")
+				continue
+			}
+			_, err := ln.Val.application(ln.Index)
+			check(err, "calibrate stream compile")
 		}
 		for ln := range DecodeLines[FleetRequest](bytes.NewReader(data), 1<<16) {
 			if ln.Err != nil {

@@ -3,25 +3,48 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 
 	"cpsdyn/internal/cluster"
-	"cpsdyn/internal/conc"
 	"cpsdyn/internal/core"
-	"cpsdyn/internal/obs"
 )
 
-// This file is the gateway side of the cluster layer: the /v1/derive and
-// /v1/derive/stream handlers a cpsdynd uses when Config.Peers is set. Both
+// This file is the gateway side of the cluster layer: the route hook the
+// derive row function takes when Config.Peers is set. Both derive framings
 // keep their single-node contract — identical validation, identical wire
-// rows, identical ordering — but route every app to the replica owning its
+// rows, identical ordering — because they run the single-node row function;
+// the hook only offers each validated app to the replica owning its
 // canonical cache key (core.Application.CacheKey) on the consistent-hash
 // ring, over one persistent NDJSON sub-stream per peer and request
 // (cluster.Session). A row whose peer is down, slow or circuit-broken is
 // derived locally instead, so a degraded cluster answers exactly what a
 // single node would, just colder.
+
+// routeHook answers one validated derive row through another node. ok ==
+// false leaves the row to the local derivation.
+type routeHook func(ctx context.Context, spec *DeriveAppSpec, index int, app *core.Application) (row StreamRow, ok bool)
+
+// hopKey marks the context of a request a gateway forwarded
+// (cluster.HopHeader).
+type hopKey struct{}
+
+// routeFor opens the route hook for one request: peerRoute over a
+// cluster.Session holding at most workers rows in flight per peer, closed by
+// done. The hook is nil — every row derives locally — on a single node (gw
+// == nil) and on a hop-marked sub-request: re-sharding a request a gateway
+// already forwarded could recurse, and a peer list that (mis)includes the
+// gateway's own address, or a ring of gateways, must degrade to one extra
+// hop, not to a stack of sub-requests eating every in-flight slot. The
+// session dies with ctx, so a client disconnect or budget expiry tears the
+// per-peer sub-requests down too.
+func routeFor(ctx context.Context, gw *cluster.Gateway, workers int) (route routeHook, done func()) {
+	if gw == nil || ctx.Value(hopKey{}) != nil {
+		return nil, func() {}
+	}
+	sess := gw.Session(ctx, workers)
+	return func(ctx context.Context, spec *DeriveAppSpec, index int, app *core.Application) (StreamRow, bool) {
+		return peerRoute(ctx, sess, spec, index, app)
+	}, sess.Close
+}
 
 // gatewayLine renders the canonical NDJSON request line forwarded to a
 // replica: the client's spec with its index-dependent default (the frame ID)
@@ -52,12 +75,10 @@ func peerDeriveRow(raw []byte, index int) (StreamRow, bool) {
 // owner was down, slow or circuit-broken, or its answer was unusable (the
 // shape check runs inside the exchange via Do's accept hook, so a rejected
 // row lands in the fallback books and charges the peer instead of
-// masquerading as a success). Both the buffered and the streaming gateway
-// path resolve rows through this one helper, so their contracts cannot
-// drift apart.
-func (s *Server) peerRoute(ctx context.Context, sess *cluster.Session,
-	spec DeriveAppSpec, index int, app *core.Application) (StreamRow, bool) {
-	line, err := gatewayLine(spec, index)
+// masquerading as a success).
+func peerRoute(ctx context.Context, sess *cluster.Session,
+	spec *DeriveAppSpec, index int, app *core.Application) (StreamRow, bool) {
+	line, err := gatewayLine(*spec, index)
 	if err != nil {
 		return StreamRow{}, false
 	}
@@ -76,126 +97,4 @@ func (s *Server) peerRoute(ctx context.Context, sess *cluster.Session,
 		return shaped && !row.Cancelled
 	})
 	return row, ok
-}
-
-// gatewayDerive resolves one validated app: through the replica owning its
-// cache key when possible, locally otherwise. A replica's error row is that
-// app's derivation failure (the gateway already ran the request validation
-// the replica repeats, so nothing else can come back) and is reported like a
-// local one.
-func (s *Server) gatewayDerive(ctx context.Context, sess *cluster.Session,
-	spec DeriveAppSpec, index int, app *core.Application) (DeriveResult, error) {
-	if row, ok := s.peerRoute(ctx, sess, spec, index, app); ok {
-		if row.Error != "" {
-			return DeriveResult{}, errors.New(row.Error)
-		}
-		return *row.Result, nil
-	}
-	d, err := app.DeriveContext(ctx)
-	if err != nil {
-		return DeriveResult{}, err
-	}
-	return deriveResult(d), nil
-}
-
-// gatewayDeriveEndpoint is the buffered /v1/derive in sharding-gateway mode.
-// Validation (duplicate names, matrix shape, finiteness) runs on the gateway
-// exactly as on a single node — only clean specs travel — and the per-app
-// fan-out reuses the single-node worker discipline: the client's workers
-// field bounded by the operator's ceiling, per-app failures aggregated with
-// errors.Join while every other app still answers.
-func gatewayDeriveEndpoint(ctx context.Context, s *Server, body []byte) (any, error) {
-	var req DeriveRequest
-	if err := decodeTraced(ctx, body, &req); err != nil {
-		return nil, err
-	}
-	if req.Workers <= 0 || (s.cfg.Workers > 0 && req.Workers > s.cfg.Workers) {
-		req.Workers = s.cfg.Workers
-	}
-	apps, err := req.applications()
-	if err != nil {
-		return nil, err
-	}
-	// The session's in-flight bound sizes a per-peer buffer, so a huge
-	// client workers value must not reach it unclamped (the worker pool
-	// itself clamps to len(apps), making anything beyond that pure
-	// allocation): never more in flight than apps, exactly like the
-	// streaming handler's ?workers guard.
-	workers := effectiveWorkers(req.Workers)
-	if workers > len(apps) {
-		workers = len(apps)
-	}
-	sess := s.gw.Session(ctx, workers)
-	defer sess.Close()
-	results := make([]DeriveResult, len(apps))
-	errs := make([]error, len(apps))
-	ferr := conc.ForEachCtx(ctx, len(apps), workers, func(i int) error {
-		results[i], errs[i] = s.gatewayDerive(ctx, sess, req.Apps[i], i, apps[i])
-		return nil // per-app failures are aggregated, not dispatch-stopping
-	})
-	if ferr != nil {
-		return nil, ferr
-	}
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return &DeriveResponse{Apps: results, Cache: core.DeriveCacheStats()}, nil
-}
-
-// gatewayStreamRow computes one stream row through the cluster: compile and
-// validate the line locally (malformed lines never travel), route it to its
-// shard owner, fall back to the local derivation on any peer trouble. The
-// recover guard matches deriveStreamRow: a panic fails its own row, not the
-// stream.
-func (s *Server) gatewayStreamRow(ctx context.Context, sess *cluster.Session,
-	ln Line[DeriveAppSpec]) (row StreamRow) {
-	row.Index = ln.Index
-	defer func() {
-		if r := recover(); r != nil {
-			row.Result, row.Error = nil, fmt.Sprintf("internal error: %v", r)
-		}
-	}()
-	if ln.Err != nil {
-		row.Error = ln.Err.Error()
-		return row
-	}
-	app, err := ln.Val.application(ln.Index)
-	if err != nil {
-		row.Error = err.Error()
-		return row
-	}
-	if prow, ok := s.peerRoute(ctx, sess, *ln.Val, ln.Index, app); ok {
-		return prow
-	}
-	d, err := app.DeriveContext(ctx)
-	if err != nil {
-		row.Error = err.Error()
-		row.Cancelled = isCancellation(err) // keep the single-node row shape
-		return row
-	}
-	res := deriveResult(d)
-	row.Result = &res
-	return row
-}
-
-// gatewayDeriveStream is DeriveStream in sharding-gateway mode: the same
-// NDJSON framing, duplicate-name discipline, bounded reorder window and
-// in-order emission, but each row rides the persistent sub-stream to the
-// replica owning its plant's cache key. The session is bounded by the
-// stream's worker count — at most that many rows can await peers at once —
-// and dies with the stream, so a client disconnect or budget expiry tears
-// the per-peer sub-requests down too.
-func (s *Server) gatewayDeriveStream(ctx context.Context, r io.Reader, w io.Writer, opts StreamOptions) (StreamStats, error) {
-	var stats StreamStats
-	tr := obs.FromContext(ctx)
-	workers := effectiveWorkers(opts.Workers)
-	sess := s.gw.Session(ctx, workers)
-	defer sess.Close()
-	err := conc.StreamOrdered(ctx, opts.Workers, opts.window(workers),
-		deriveSource(r, opts.MaxLine, &stats, tr),
-		func(ctx context.Context, _ int, ln Line[DeriveAppSpec]) StreamRow {
-			return s.gatewayStreamRow(ctx, sess, ln)
-		},
-		encodeSink[StreamRow](w, &stats, tr))
-	return stats, err
 }

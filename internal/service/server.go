@@ -29,8 +29,8 @@ type Config struct {
 	MaxInFlight int
 	// Timeout is the per-request compute budget. ≤ 0 selects 60 s.
 	Timeout time.Duration
-	// Workers bounds each request's internal derivation/allocation worker
-	// pool (core.FleetOptions.Workers / sched.AllocateBatch). ≤ 0 selects
+	// Workers bounds each request's row pipeline worker pool — a ceiling
+	// for the client's own workers field or ?workers query. ≤ 0 selects
 	// GOMAXPROCS.
 	Workers int
 	// MaxBodyBytes bounds request bodies. ≤ 0 selects 8 MiB.
@@ -149,8 +149,6 @@ func New(cfg Config) (*Server, error) {
 		traces: obs.NewRing(0),
 	}
 	s.sem = make(chan struct{}, s.cfg.MaxInFlight)
-	deriveBuffered := s.compute("derive", &s.lat.derive, deriveEndpoint)
-	deriveStream := s.stream("derive/stream", &s.lat.deriveStream, DeriveStream)
 	if len(s.cfg.Peers) > 0 {
 		gw, err := cluster.New(cluster.Config{
 			Peers:        s.cfg.Peers,
@@ -161,31 +159,20 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.gw = gw
-		deriveBuffered = s.compute("derive", &s.lat.derive, gatewayDeriveEndpoint)
-		// A request already forwarded by a gateway is served single-node:
-		// re-sharding it could recurse — a peer list that (mis)includes this
-		// gateway's own address, or a ring of gateways, must degrade to one
-		// extra hop, not to a stack of sub-requests eating every in-flight
-		// slot.
-		plain, sharded := deriveStream, s.stream("derive/stream", &s.lat.deriveStream, s.gatewayDeriveStream)
-		deriveStream = func(w http.ResponseWriter, r *http.Request) {
-			if r.Header.Get(cluster.HopHeader) != "" {
-				plain(w, r)
-				return
-			}
-			sharded(w, r)
-		}
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /statsz", s.handleStatsz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /tracez", s.handleTracez)
-	s.mux.HandleFunc("POST /v1/derive", deriveBuffered)
-	s.mux.HandleFunc("POST /v1/derive/stream", deriveStream)
+	s.mux.HandleFunc("POST /v1/derive", s.compute("derive", &s.lat.derive, deriveEndpoint))
+	s.mux.HandleFunc("POST /v1/derive/stream", s.stream("derive/stream", &s.lat.deriveStream,
+		func(ctx context.Context, r io.Reader, w io.Writer, opts StreamOptions) (StreamStats, error) {
+			return deriveStream(ctx, r, w, opts, s.gw)
+		}))
 	s.mux.HandleFunc("POST /v1/allocate", s.compute("allocate", &s.lat.allocate, allocateEndpoint))
 	s.mux.HandleFunc("POST /v1/allocate/stream", s.stream("allocate/stream", &s.lat.allocateStream, AllocateStream))
 	s.mux.HandleFunc("POST /v1/calibrate", s.compute("calibrate", &s.lat.calibrate, calibrateEndpoint))
-	s.mux.HandleFunc("POST /v1/calibrate/stream", s.stream("calibrate/stream", &s.lat.calibrateStream, CalibrateStream))
+	s.mux.HandleFunc("POST /v1/calibrate/stream", s.stream("calibrate/stream", &s.lat.calibrateStream, calibrateStream))
 	return s, nil
 }
 
@@ -306,17 +293,76 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// compute wraps an endpoint with the service's resource discipline:
-// the request first acquires an in-flight slot (or is rejected with 503
-// when its context expires while queueing), then runs on its own goroutine
-// under the per-request compute budget (504 on overrun). By default the
-// budget and the client connection actually govern the computation — a
-// timeout or disconnect cancels the in-flight matrix work, which stops
-// promptly and releases its slot instead of burning CPU for an answer
-// nobody will read. Config.CompleteInBackground restores the old detached
-// behaviour (the abandoned computation finishes and warms the cache).
-//
-//cpsdyn:ctx-compat the Background is the documented -complete-background mode: detaching the computation from the request's fate is the feature, not an oversight
+// admit is the admission discipline every compute route shares: the
+// request's span and compute budget, then an in-flight slot. A request
+// whose context expires while queueing is answered 503 here; otherwise run
+// executes holding the slot, which it must hand back with s.release. The
+// span (per-stage breakdown, /tracez) and the latency histogram cover every
+// request reaching admit, rejections included. A forwarded request's
+// obs.TraceHeader parents the span to the gateway's; its cluster.HopHeader
+// marks the context so it is served single-node (routeFor).
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, op string, lat *obs.Histogram,
+	start time.Time, run func(ctx context.Context, tr *obs.Trace)) {
+	tr := obs.NewTrace(op, r.Header.Get(obs.TraceHeader))
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
+	defer cancel()
+	ctx = obs.WithTrace(ctx, tr)
+	if r.Header.Get(cluster.HopHeader) != "" {
+		ctx = context.WithValue(ctx, hopKey{}, true)
+	}
+	defer func() {
+		lat.Since(start)
+		s.finishTrace(ctx, tr)
+	}()
+	// Prefer a free slot over an expired context: with both select cases
+	// ready Go picks randomly, which would turn budget overruns into
+	// spurious 503s when capacity was available all along.
+	select {
+	case s.sem <- struct{}{}:
+	default:
+		select {
+		case s.sem <- struct{}{}:
+		case <-ctx.Done():
+			// A vanished client is not back-pressure; only count deadline
+			// expiries as rejections.
+			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+				s.rejected.Add(1)
+			}
+			writeError(w, http.StatusServiceUnavailable,
+				fmt.Errorf("server busy: %d requests in flight", s.inFlight.Load()))
+			return
+		}
+	}
+	s.inFlight.Add(1)
+	run(ctx, tr)
+}
+
+// release hands an admitted request's in-flight slot back.
+func (s *Server) release() {
+	s.inFlight.Add(-1)
+	<-s.sem
+}
+
+// workers resolves a client's worker request (a buffered body's workers
+// field, a stream's ?workers query) against the operator's -workers flag,
+// which is a ceiling, not a default; with no flag the ceiling is
+// GOMAXPROCS.
+func (s *Server) workers(n int) int {
+	if n > 0 && n <= effectiveWorkers(s.cfg.Workers) {
+		return n
+	}
+	return s.cfg.Workers
+}
+
+// compute wraps an endpoint with the service's resource discipline: the
+// request is admitted (an in-flight slot, or 503), then the endpoint runs
+// on its own goroutine under the per-request compute budget (504 on
+// overrun). By default the budget and the client connection actually
+// govern the computation — a timeout or disconnect cancels the in-flight
+// matrix work, which stops promptly and releases its slot instead of
+// burning CPU for an answer nobody will read. Config.CompleteInBackground
+// restores the old detached behaviour (the abandoned computation finishes
+// and warms the cache).
 func (s *Server) compute(op string, lat *obs.Histogram, fn endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -325,108 +371,76 @@ func (s *Server) compute(op string, lat *obs.Histogram, fn endpoint) http.Handle
 			writeError(w, status, err)
 			return
 		}
-		// Every request past the body read is traced and timed: the span
-		// carries the per-stage breakdown into /tracez, the histogram the
-		// endpoint's whole-request latency (successes, rejections and
-		// budget overruns alike) into /statsz and /metrics. A forwarded
-		// request's obs.TraceHeader parents the span to the gateway's.
-		tr := obs.NewTrace(op, r.Header.Get(obs.TraceHeader))
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-		defer cancel()
-		ctx = obs.WithTrace(ctx, tr)
-		defer func() {
-			lat.Since(start)
-			s.finishTrace(ctx, tr)
-		}()
-		// Prefer a free slot over an expired context: with both select
-		// cases ready Go picks randomly, which would turn budget overruns
-		// into spurious 503s when capacity was available all along.
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			select {
-			case s.sem <- struct{}{}:
-			case <-ctx.Done():
-				// A vanished client is not back-pressure; only count
-				// deadline expiries as rejections.
-				if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-					s.rejected.Add(1)
+		s.admit(w, r, op, lat, start, func(ctx context.Context, tr *obs.Trace) {
+			computeCtx := ctx
+			if s.cfg.CompleteInBackground {
+				// Detach the computation from the request's fate; the
+				// budget then only bounds how long the client waits for the
+				// answer. The trace rides along — stage timings recorded
+				// after the handler finishes the span are simply dropped.
+				computeCtx = context.WithoutCancel(ctx)
+			}
+			type result struct {
+				v   any
+				err error
+			}
+			done := make(chan result, 1)
+			go func() {
+				v, err := runEndpoint(computeCtx, fn, s, body)
+				if err != nil && isCancellation(err) {
+					s.cancelled.Add(1)
 				}
-				writeError(w, http.StatusServiceUnavailable,
-					fmt.Errorf("server busy: %d requests in flight", s.inFlight.Load()))
-				return
-			}
-		}
-		computeCtx := ctx
-		if s.cfg.CompleteInBackground {
-			// Detach the computation from the request's fate; the budget
-			// then only bounds how long the client waits for the answer.
-			// The trace rides along — stage timings recorded after the
-			// handler finishes the span are simply dropped.
-			computeCtx = obs.WithTrace(context.Background(), tr)
-		}
-		type result struct {
-			v   any
-			err error
-		}
-		done := make(chan result, 1)
-		s.inFlight.Add(1)
-		go func() {
-			v, err := runEndpoint(computeCtx, fn, s, body)
-			if err != nil && isCancellation(err) {
-				s.cancelled.Add(1)
-			}
-			// Settle the books before delivering the result, so a client
-			// that reads its response and immediately polls /statsz sees
-			// its own request counted and its slot free.
-			s.inFlight.Add(-1)
-			s.requests.Add(1)
-			<-s.sem
-			done <- result{v, err}
-		}()
-		select {
-		case res := <-done:
-			if res.err != nil {
-				if isCancellation(res.err) {
-					// The compute context expired and the computation
-					// noticed before this select observed ctx.Done. Only a
-					// budget overrun is a 504; for a client disconnect
-					// nobody is listening for a reply.
-					switch {
-					case errors.Is(ctx.Err(), context.DeadlineExceeded):
-						s.timedOut.Add(1)
-						writeError(w, http.StatusGatewayTimeout,
-							fmt.Errorf("request exceeded the %s compute budget", s.cfg.Timeout))
-					case ctx.Err() != nil: // disconnected
-					default:
-						// A cancellation error without an expired request
-						// context can only be an endpoint bug.
-						writeError(w, http.StatusInternalServerError, res.err)
+				// Settle the books before delivering the result, so a client
+				// that reads its response and immediately polls /statsz sees
+				// its own request counted and its slot free.
+				s.release()
+				s.requests.Add(1)
+				done <- result{v, err}
+			}()
+			select {
+			case res := <-done:
+				if res.err != nil {
+					if isCancellation(res.err) {
+						// The compute context expired and the computation
+						// noticed before this select observed ctx.Done. Only
+						// a budget overrun is a 504; for a client disconnect
+						// nobody is listening for a reply.
+						switch {
+						case errors.Is(ctx.Err(), context.DeadlineExceeded):
+							s.timedOut.Add(1)
+							writeError(w, http.StatusGatewayTimeout,
+								fmt.Errorf("request exceeded the %s compute budget", s.cfg.Timeout))
+						case ctx.Err() != nil: // disconnected
+						default:
+							// A cancellation error without an expired request
+							// context can only be an endpoint bug.
+							writeError(w, http.StatusInternalServerError, res.err)
+						}
+						return
 					}
+					status := http.StatusBadRequest
+					var ie *internalError
+					if errors.As(res.err, &ie) {
+						status = http.StatusInternalServerError
+					}
+					writeError(w, status, res.err)
 					return
 				}
-				status := http.StatusBadRequest
-				var ie *internalError
-				if errors.As(res.err, &ie) {
-					status = http.StatusInternalServerError
+				encodeStart := time.Now()
+				writeJSON(w, http.StatusOK, res.v)
+				tr.StageSince(obs.StageEncode, encodeStart)
+			case <-ctx.Done():
+				if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
+					// Client disconnected; nobody is listening for a reply and
+					// the compute budget was not the problem. By default the
+					// cancellation has already reached the computation.
+					return
 				}
-				writeError(w, status, res.err)
-				return
+				s.timedOut.Add(1)
+				writeError(w, http.StatusGatewayTimeout,
+					fmt.Errorf("request exceeded the %s compute budget", s.cfg.Timeout))
 			}
-			encodeStart := time.Now()
-			writeJSON(w, http.StatusOK, res.v)
-			tr.StageSince(obs.StageEncode, encodeStart)
-		case <-ctx.Done():
-			if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				// Client disconnected; nobody is listening for a reply and
-				// the compute budget was not the problem. By default the
-				// cancellation has already reached the computation.
-				return
-			}
-			s.timedOut.Add(1)
-			writeError(w, http.StatusGatewayTimeout,
-				fmt.Errorf("request exceeded the %s compute budget", s.cfg.Timeout))
-		}
+		})
 	}
 }
 
@@ -463,12 +477,8 @@ func deriveEndpoint(ctx context.Context, s *Server, body []byte) (any, error) {
 	if err := decodeTraced(ctx, body, &req); err != nil {
 		return nil, err
 	}
-	// The operator's -workers flag is a ceiling, not a default: a client
-	// may request fewer workers than configured but never more.
-	if req.Workers <= 0 || (s.cfg.Workers > 0 && req.Workers > s.cfg.Workers) {
-		req.Workers = s.cfg.Workers
-	}
-	return Derive(ctx, &req)
+	req.Workers = s.workers(req.Workers)
+	return derive(ctx, &req, s.gw)
 }
 
 // AllocateResponse is the POST /v1/allocate body for batch requests; a
@@ -479,8 +489,6 @@ type AllocateResponse struct {
 }
 
 func allocateEndpoint(ctx context.Context, s *Server, body []byte) (any, error) {
-	// Allocation analysis is cheap arithmetic; it finishes well inside any
-	// budget, so it does not take cancellation points.
 	var req AllocateRequest
 	if err := decodeTraced(ctx, body, &req); err != nil {
 		return nil, err
@@ -489,7 +497,7 @@ func allocateEndpoint(ctx context.Context, s *Server, body []byte) (any, error) 
 	if err != nil {
 		return nil, err
 	}
-	results, err := AllocateFleets(fleets, s.cfg.Workers)
+	results, err := allocateFleets(ctx, fleets, s.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

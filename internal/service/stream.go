@@ -15,9 +15,7 @@ import (
 	"strings"
 	"time"
 
-	"cpsdyn/internal/conc"
 	"cpsdyn/internal/obs"
-	"cpsdyn/internal/sched"
 )
 
 // Line is one decoded NDJSON input line. Exactly one of Val and Err is set:
@@ -164,179 +162,6 @@ func (o StreamOptions) window(workers int) int {
 	return w
 }
 
-// deriveSource decodes the request half of a derive stream: one
-// DeriveAppSpec per line, counted into stats, with the buffered /v1/derive
-// path's duplicate-name discipline applied in the (sequential) source
-// iterator, so no locking. Error lines keep their name slot: only
-// successfully decoded specs claim a name. The seen set is the one per-row
-// retention of the stream — names only, a few bytes per row, not rows or
-// results. Shared by DeriveStream and the gateway's sharded engine.
-func deriveSource(r io.Reader, maxLine int64, stats *StreamStats, tr *obs.Trace) iter.Seq[Line[DeriveAppSpec]] {
-	seen := make(map[string]bool)
-	return func(yield func(Line[DeriveAppSpec]) bool) {
-		for ln := range countingSource[DeriveAppSpec](r, maxLine, stats, tr) {
-			if ln.Val != nil {
-				if seen[ln.Val.Name] {
-					ln = Line[DeriveAppSpec]{Index: ln.Index, Err: &RequestError{
-						App: ln.Val.Name,
-						Err: fmt.Errorf("duplicate app name %q", ln.Val.Name)}}
-				} else {
-					seen[ln.Val.Name] = true
-				}
-			}
-			if !yield(ln) {
-				return
-			}
-		}
-	}
-}
-
-// countingSource decodes one T per NDJSON line, counting rows into stats —
-// the request half shared by the engines with no extra per-line discipline
-// (deriveSource layers the duplicate-name check on top of the same shape).
-func countingSource[T any](r io.Reader, maxLine int64, stats *StreamStats, tr *obs.Trace) iter.Seq[Line[T]] {
-	return func(yield func(Line[T]) bool) {
-		for ln := range decodeLines[T](r, maxLine, tr) {
-			stats.RowsIn++
-			if !yield(ln) {
-				return
-			}
-		}
-	}
-}
-
-// encodeSink writes result rows to w, counting each into stats and the
-// row's encode+write time into the trace's encode stage — the emission
-// half every streaming engine shares. The write is included deliberately:
-// a slow client throttling the stream through flow control shows up here,
-// which is exactly the question "where does stream time go" asks.
-func encodeSink[R any](w io.Writer, stats *StreamStats, tr *obs.Trace) func(int, R) error {
-	return func(_ int, row R) error {
-		var t0 time.Time
-		if tr != nil {
-			t0 = time.Now()
-		}
-		if err := EncodeResult(w, row); err != nil {
-			return err
-		}
-		if tr != nil {
-			tr.StageSince(obs.StageEncode, t0)
-		}
-		stats.RowsOut++
-		return nil
-	}
-}
-
-// DeriveStream runs the streaming derivation pipeline: NDJSON DeriveAppSpec
-// lines in from r, NDJSON StreamRows out to w in input order, derived across
-// a bounded worker pool with at most O(workers + window) rows buffered. The
-// first result is written while later requests are still being read.
-//
-// Per-line failures (malformed JSON, duplicate or invalid apps, derivation
-// errors) become error rows and never abort the stream. A ctx expiry stops
-// it mid-flight and is returned (the caller decides whether a terminal row
-// can still be written); a write failure on w stops it likewise.
-func DeriveStream(ctx context.Context, r io.Reader, w io.Writer, opts StreamOptions) (StreamStats, error) {
-	var stats StreamStats
-	tr := obs.FromContext(ctx)
-	err := conc.StreamOrdered(ctx, opts.Workers, opts.window(effectiveWorkers(opts.Workers)),
-		deriveSource(r, opts.MaxLine, &stats, tr),
-		deriveStreamRow,
-		encodeSink[StreamRow](w, &stats, tr))
-	return stats, err
-}
-
-// deriveStreamRow computes one stream row: compile the spec, derive it on
-// the shared memo cache, flatten to the wire row. Failures become error
-// rows; a panicking derivation (validation gaps on adversarial input) fails
-// its own row, not the stream.
-func deriveStreamRow(ctx context.Context, i int, ln Line[DeriveAppSpec]) (row StreamRow) {
-	row.Index = ln.Index
-	defer func() {
-		if r := recover(); r != nil {
-			row.Result, row.Error = nil, fmt.Sprintf("internal error: %v", r)
-		}
-	}()
-	if ln.Err != nil {
-		row.Error = ln.Err.Error()
-		return row
-	}
-	app, err := ln.Val.application(ln.Index) // failures are self-naming *RequestErrors
-	if err != nil {
-		row.Error = err.Error()
-		return row
-	}
-	d, err := app.DeriveContext(ctx)
-	if err != nil {
-		row.Error = err.Error()
-		row.Cancelled = isCancellation(err)
-		return row
-	}
-	res := deriveResult(d)
-	row.Result = &res
-	return row
-}
-
-// FleetStreamRow is one NDJSON line of a slotalloc -stream response: the
-// allocation outcome for the fleet on input line Index. Error reports a
-// malformed line; an infeasible fleet is an analysis outcome and lands in
-// Fleet.Error as usual.
-type FleetStreamRow struct {
-	Index int          `json:"index"`
-	Fleet *FleetResult `json:"fleet,omitempty"`
-	Error string       `json:"error,omitempty"`
-}
-
-// AllocateStream is DeriveStream's allocation sibling: NDJSON FleetRequest
-// lines in, NDJSON FleetStreamRows out in input order, allocated across a
-// bounded worker pool. It backs slotalloc -stream.
-func AllocateStream(ctx context.Context, r io.Reader, w io.Writer, opts StreamOptions) (StreamStats, error) {
-	var stats StreamStats
-	tr := obs.FromContext(ctx)
-	err := conc.StreamOrdered(ctx, opts.Workers, opts.window(effectiveWorkers(opts.Workers)),
-		countingSource[FleetRequest](r, opts.MaxLine, &stats, tr),
-		allocateStreamRow,
-		encodeSink[FleetStreamRow](w, &stats, tr))
-	return stats, err
-}
-
-// allocateStreamRow allocates one fleet line. Allocation is quick
-// arithmetic, so it takes no cancellation points of its own; the pool stops
-// dispatching rows once ctx expires.
-func allocateStreamRow(_ context.Context, _ int, ln Line[FleetRequest]) (row FleetStreamRow) {
-	row.Index = ln.Index
-	defer func() {
-		if r := recover(); r != nil {
-			row.Fleet, row.Error = nil, fmt.Sprintf("internal error: %v", r)
-		}
-	}()
-	if ln.Err != nil {
-		row.Error = ln.Err.Error()
-		return row
-	}
-	spec, unsafe, err := ln.Val.spec() // failures are self-describing *RequestErrors
-	if err != nil {
-		row.Error = err.Error()
-		return row
-	}
-	res := &FleetResult{Name: ln.Val.Name}
-	row.Fleet = res
-	var al *sched.Allocation
-	if spec.Race {
-		al, err = sched.AllocateRace(spec.Apps, nil, spec.Method)
-	} else {
-		al, err = sched.Allocate(spec.Apps, spec.Policy, spec.Method)
-	}
-	if err != nil {
-		res.Error = err.Error() // infeasible fleet: in-band, like the batch path
-		return row
-	}
-	if err := fillFleetResult(res, ln.Val, al, unsafe); err != nil {
-		row.Fleet, row.Error = nil, err.Error()
-	}
-	return row
-}
-
 // effectiveWorkers resolves a worker bound the way the pools do.
 func effectiveWorkers(workers int) int {
 	if workers > 0 {
@@ -367,9 +192,9 @@ func (fw *flushWriter) Write(p []byte) (int, error) {
 }
 
 // streamEngine is one NDJSON pipeline: request lines from r, result rows to
-// w in input order, under opts. DeriveStream, AllocateStream,
-// CalibrateStream and the gateway's sharded derive all fit it, so the HTTP
-// machinery around them lives once, in Server.stream.
+// w in input order, under opts. Every operation's stream (runStream over
+// its row function) fits it, so the HTTP machinery around them lives once,
+// in Server.stream.
 type streamEngine func(ctx context.Context, r io.Reader, w io.Writer, opts StreamOptions) (StreamStats, error)
 
 // stream wraps an engine as a streaming HTTP handler: NDJSON request lines
@@ -378,11 +203,12 @@ type streamEngine func(ctx context.Context, r io.Reader, w io.Writer, opts Strea
 // ?workers=N query bounds the per-stream pool below the operator's ceiling,
 // exactly like the buffered endpoints' workers field.
 //
-// The stream holds one in-flight slot for its whole life and runs under the
-// usual compute budget; an expiry or client disconnect cancels the
-// computations mid-stream. Since the 200 status is on the wire before the
-// first row, failures past that point are reported in-band: per-row error
-// rows, plus a terminal Index −1 row when the budget kills the stream.
+// The stream holds one in-flight slot for its whole life (its internal
+// fan-out is bounded by workers) and runs under the usual compute budget;
+// an expiry or client disconnect cancels the computations mid-stream. Since
+// the 200 status is on the wire before the first row, failures past that
+// point are reported in-band: per-row error rows, plus a terminal Index −1
+// row when the budget kills the stream.
 func (s *Server) stream(op string, lat *obs.Histogram, engine streamEngine) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -393,84 +219,51 @@ func (s *Server) stream(op string, lat *obs.Histogram, engine streamEngine) http
 				writeError(w, http.StatusBadRequest, fmt.Errorf("invalid workers value %q", q))
 				return
 			}
-			// The operator's -workers flag is a ceiling, not a default; with no
-			// flag the ceiling is GOMAXPROCS. Unlike the buffered endpoints there
-			// is no app count to clamp against — the pool and window are
-			// allocated before the first line is read — so an unbounded client
-			// value would be a trivial memory DoS.
-			if n > 0 && n <= effectiveWorkers(s.cfg.Workers) {
-				workers = n
-			}
+			workers = s.workers(n)
 		}
-		// The stream's span: a replica serving a gateway sub-stream finds
-		// the gateway's trace ID in the obs.TraceHeader and records its
-		// whole side of the exchange as a child span.
-		tr := obs.NewTrace(op, r.Header.Get(obs.TraceHeader))
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-		defer cancel()
-		ctx = obs.WithTrace(ctx, tr)
-		defer func() {
-			lat.Since(start)
-			s.finishTrace(ctx, tr)
-		}()
-		// The whole stream occupies one in-flight slot (its internal fan-out is
-		// bounded by workers), with the same free-slot preference as compute.
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			select {
-			case s.sem <- struct{}{}:
-			case <-ctx.Done():
-				if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-					s.rejected.Add(1)
-				}
-				writeError(w, http.StatusServiceUnavailable,
-					fmt.Errorf("server busy: %d requests in flight", s.inFlight.Load()))
+		s.admit(w, r, op, lat, start, func(ctx context.Context, tr *obs.Trace) {
+			defer func() {
+				s.release()
+				s.streams.Add(1)
+			}()
+			// HTTP/1 servers close the request body on the first response
+			// write by default; this handler's whole point is interleaving
+			// body reads with row writes. (HTTP/2 is full-duplex anyway and
+			// may report an error.)
+			rc := http.NewResponseController(w)
+			_ = rc.EnableFullDuplex()
+			// The engine only returns once nothing touches the body any
+			// more, so a cancellation must also fail any read the decoder is
+			// blocked in — otherwise a stalled-but-connected client would pin
+			// the stream past its budget.
+			stopKick := context.AfterFunc(ctx, func() { _ = rc.SetReadDeadline(time.Now()) })
+			defer stopKick()
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			w.WriteHeader(http.StatusOK)
+			fw := newFlushWriter(w)
+			stats, err := engine(ctx, r.Body, fw, StreamOptions{
+				Workers: workers,
+				Window:  s.cfg.StreamWindow,
+				MaxLine: s.cfg.MaxBodyBytes,
+			})
+			tr.AddRows(stats.RowsOut)
+			s.rowsIn.Add(uint64(stats.RowsIn))
+			s.rowsOut.Add(uint64(stats.RowsOut))
+			if err == nil {
 				return
 			}
-		}
-		s.inFlight.Add(1)
-		defer func() {
-			s.inFlight.Add(-1)
-			s.streams.Add(1)
-			<-s.sem
-		}()
-		// HTTP/1 servers close the request body on the first response write by
-		// default; this handler's whole point is interleaving body reads with
-		// row writes. (HTTP/2 is full-duplex anyway and may report an error.)
-		rc := http.NewResponseController(w)
-		_ = rc.EnableFullDuplex()
-		// The engine only returns once nothing touches the body any more, so
-		// a cancellation must also fail any read the decoder is blocked in —
-		// otherwise a stalled-but-connected client would pin the stream past
-		// its budget.
-		stopKick := context.AfterFunc(ctx, func() { _ = rc.SetReadDeadline(time.Now()) })
-		defer stopKick()
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		fw := newFlushWriter(w)
-		stats, err := engine(ctx, r.Body, fw, StreamOptions{
-			Workers: workers,
-			Window:  s.cfg.StreamWindow,
-			MaxLine: s.cfg.MaxBodyBytes,
-		})
-		tr.AddRows(stats.RowsOut)
-		s.rowsIn.Add(uint64(stats.RowsIn))
-		s.rowsOut.Add(uint64(stats.RowsOut))
-		if err == nil {
-			return
-		}
-		s.streamCancelled.Add(1)
-		if isCancellation(err) {
-			s.cancelled.Add(1)
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				s.timedOut.Add(1)
-				// A disconnected client cannot be told anything; a budget kill
-				// still can, in-band.
-				_ = EncodeResult(fw, StreamRow{Index: -1,
-					Error: fmt.Sprintf("stream exceeded the %s compute budget", s.cfg.Timeout)})
+			s.streamCancelled.Add(1)
+			if isCancellation(err) {
+				s.cancelled.Add(1)
+				if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+					s.timedOut.Add(1)
+					// A disconnected client cannot be told anything; a budget
+					// kill still can, in-band.
+					_ = EncodeResult(fw, StreamRow{Index: -1,
+						Error: fmt.Sprintf("stream exceeded the %s compute budget", s.cfg.Timeout)})
+				}
 			}
-		}
+		})
 	}
 }
 
